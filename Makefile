@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet check cover bench bench-diff bench-diff-replay fuzz scenario-goldens cluster-smoke wal-smoke parallel-replay-smoke stream-smoke profile clean
+.PHONY: all build test race vet check cover bench bench-diff bench-diff-replay fuzz scenario-goldens cluster-smoke wal-smoke stream-smoke profile clean
 
 all: build
 
@@ -54,17 +54,6 @@ wal-smoke:
 	$(GO) test -run 'TestCrashRestartEndToEnd|TestJournal' -count=1 -v ./internal/cluster
 	$(GO) test -count=1 ./internal/wal
 
-# The parallel-replay gate: the epoch-windowed speculative driver must
-# be byte-identical to the flat serial driver. Runs the determinism
-# matrix at replay workers ∈ {1, 2, 8} under the race detector: the
-# sched-level equivalence tests (including the fuzz corpus), the
-# core-level flat-vs-parallel report comparisons, and the end-to-end
-# fig6 render matrix. Blocking in CI.
-parallel-replay-smoke:
-	$(GO) test -race -count=1 -run 'TestEpoch|FuzzEpochFootprint' ./internal/sched
-	$(GO) test -race -count=1 -run 'TestReplayParallel' ./internal/core
-	$(GO) test -race -count=1 -run 'TestRenderBytesAcrossReplayWorkers' ./internal/experiments
-
 # The stream gate: multi-phase query streams must be equivalent to
 # direct execution everywhere. Runs the core equivalence suite (direct
 # vs recorded vs per-segment replay, including live-recorded update
@@ -77,9 +66,9 @@ stream-smoke:
 	$(GO) test -count=1 -run 'TestStreamSpecMatchesDirectExecution|TestStreamTraceStoreServesPhases|TestGoldenOutput' ./internal/experiments
 
 # Profile a named preset (default fig6) under the CPU and heap
-# profilers. The capture/decode/replay pipeline stages run under pprof
-# labels ("stage" = capture | decode | replay), so the epoch driver's
-# parallel fraction is measurable per stage:
+# profilers. The capture, trace-decode and replay stages run under
+# pprof labels ("stage" = capture | decode | replay), so each stage's
+# share of the CPU is measurable on its own:
 #   go tool pprof -tagfocus stage=replay cpu.pprof
 PROFILE_EXP ?= fig6
 PROFILE_SCALE ?= 0.01

@@ -7,7 +7,6 @@ package repro
 import (
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -49,7 +48,7 @@ func benchReplayTrace(b *testing.B) (*trace.QueryTrace, []byte, machine.Config) 
 
 // BenchmarkReplayDecode measures raw event decode throughput over every
 // stream of a captured Q6 trace: the per-event cursor against the
-// batched cursor the pipelined replay driver uses.
+// batched cursor the replay driver uses.
 func BenchmarkReplayDecode(b *testing.B) {
 	tr, _, _ := benchReplayTrace(b)
 	var events uint64
@@ -149,26 +148,4 @@ func BenchmarkReplayStreamed(b *testing.B) {
 			f.Close()
 		}
 	})
-}
-
-// BenchmarkReplayParallel measures one full timing replay of the
-// captured Q6 trace under the epoch-windowed driver: the flat serial
-// baseline (workers=1, the bench-diff-replay-gated configuration) and
-// all host cores (workers=NumCPU — identical to workers1 on a
-// single-core host, where the driver degrades to the flat path).
-func BenchmarkReplayParallel(b *testing.B) {
-	tr, _, mcfg := benchReplayTrace(b)
-	run := func(b *testing.B, workers int) {
-		old := core.ReplayWorkers
-		core.ReplayWorkers = workers
-		defer func() { core.ReplayWorkers = old }()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.ReplayTrace(tr, mcfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("workers1", func(b *testing.B) { run(b, 1) })
-	b.Run("workersN", func(b *testing.B) { run(b, runtime.NumCPU()) })
 }

@@ -1,6 +1,6 @@
 // Command dssmem reproduces the paper's tables and figures.
 //
-//	dssmem -exp table1|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|all [-scale 0.01] [-seed N] [-jobs N] [-replay-workers N]
+//	dssmem -exp table1|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|all [-scale 0.01] [-seed N] [-jobs N]
 //	dssmem -scenario FILE    run one declarative scenario spec (JSON)
 //	dssmem -list             list the preset scenarios behind -exp
 //
@@ -91,7 +91,6 @@ func main() {
 	seed := flag.Uint64("seed", 12345, "database generation seed")
 	queries := flag.String("queries", "Q3,Q6,Q12", "comma-separated traced queries")
 	jobs := flag.Int("jobs", 0, "concurrent experiment workers (0 = GOMAXPROCS)")
-	replayWorkers := flag.Int("replay-workers", 0, "host goroutines inside one trace replay (0 = GOMAXPROCS, 1 = serial)")
 	cacheDir := flag.String("cache-dir", "", "directory for the persistent result cache (empty = in-memory only)")
 	traceDir := flag.String("trace-dir", "", "directory for captured reference-trace blobs (empty = traces stay in the result cache)")
 	metricsOut := flag.String("metrics", "", "write a JSON metrics snapshot to this file after the run (\"-\" = stderr)")
@@ -109,10 +108,6 @@ func main() {
 	// error, not a full-width run.
 	if *jobs < 0 {
 		fmt.Fprintf(os.Stderr, "dssmem: -jobs must be >= 0 (got %d)\n", *jobs)
-		os.Exit(2)
-	}
-	if *replayWorkers < 0 {
-		fmt.Fprintf(os.Stderr, "dssmem: -replay-workers must be >= 0 (got %d)\n", *replayWorkers)
 		os.Exit(2)
 	}
 
@@ -191,7 +186,7 @@ func main() {
 		reg.CollectGoRuntime()
 	}
 
-	e := experiments.NewExecConfig(runner.Config{Workers: *jobs, ReplayWorkers: *replayWorkers,
+	e := experiments.NewExecConfig(runner.Config{Workers: *jobs,
 		CacheDir: *cacheDir, TraceDir: *traceDir, Metrics: reg})
 	defer e.Close()
 
@@ -211,7 +206,10 @@ func main() {
 					if ev.Err != "" {
 						detail += ", error: " + ev.Err
 					}
-					log.Printf("job %d %s: %s in %v%s", ev.Job, ev.Name, ev.State, ev.Elapsed.Round(time.Millisecond), detail)
+					// Run time, not submission-to-finish: a job batched
+					// behind busy workers spends part of its life queued.
+					log.Printf("job %d %s: %s in %v (queued %v)%s", ev.Job, ev.Name, ev.State,
+						ev.Run.Round(time.Millisecond), ev.Queue.Round(time.Millisecond), detail)
 				}
 			}
 		}()

@@ -106,6 +106,21 @@ func TestRoutes(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsUnknownFields checks that POST /v1/experiments
+// refuses fields it does not know — here the retired replay_workers
+// knob — with a 400 naming the field, instead of silently running the
+// experiment without it.
+func TestSubmitRejectsUnknownFields(t *testing.T) {
+	_, ts := newTestServer(t)
+	code, body := post(t, ts.URL+"/v1/experiments", `{"exp":"fig6","scale":0.002,"replay_workers":2}`)
+	if code != 400 || !strings.Contains(body, "replay_workers") {
+		t.Errorf("stale replay_workers: %d %q, want 400 naming the field", code, body)
+	}
+	if code, _ := get(t, ts.URL+"/v1/experiments/1"); code != 404 {
+		t.Errorf("rejected request created experiment 1: got %d, want 404", code)
+	}
+}
+
 // TestPresetsEndpoint checks that GET /v1/scenarios/presets serves the
 // full preset registry as decodable scenario specs.
 func TestPresetsEndpoint(t *testing.T) {

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"runtime/pprof"
 	"sync/atomic"
 
@@ -18,8 +17,7 @@ import (
 // under pprof labels so a -cpuprofile of a sweep attributes samples per
 // stage ("stage" ∈ capture, decode, replay — `make profile` renders
 // this). Labels are inherited by goroutines spawned inside the labeled
-// region, which covers the decode pipeline and the epoch driver's
-// shadow workers.
+// region, which covers the replay's lock-manager op goroutines.
 func withStage(stage string, f func()) {
 	pprof.Do(context.Background(), pprof.Labels("stage", stage), func(context.Context) { f() })
 }
@@ -129,12 +127,7 @@ func (s *System) recordPure(bodies []func(*sched.Proc)) *trace.Recorder {
 // own engine and lock manager, continuing from the current clocks and
 // machine state.
 func (s *System) replayStreams(src trace.Source) error {
-	done := make(chan struct{})
-	defer close(done)
-	srcs := batchSources(src, s.LockMgr, s.Mem.Nodes(), done)
-	var err error
-	withStage("replay", func() { err = s.Eng.RunReplayParallel(srcs, replayWorkers()) })
-	return err
+	return runReplay(s.Eng, s.LockMgr, src, s.Mem.Nodes())
 }
 
 // RunColdRecorded is RunCold with trace capture: it returns the run's
@@ -184,85 +177,26 @@ func (s *System) queryTrace(query string, rows []int, rec *trace.Recorder) *trac
 	}
 }
 
-// DecodeAhead is the replay decode pipeline's depth in batches per
-// processor stream: decode goroutines run up to this many replayBatch-
-// sized batches ahead of the timing-model turn loop. Decode is a pure
-// function of the stream bytes, so running it off the driver goroutine
-// cannot perturb the simulation — only the *application* of events
-// stays on the single driver. Zero (or negative) disables the pipeline
-// and decodes synchronously inline, which is bitwise-equivalent.
-//
-// The default is adaptive: on a host with a single schedulable CPU
-// there is no core for the decode goroutines to overlap onto, and the
-// channel handoffs become pure overhead, so the pipeline defaults off
-// there. Setting DecodeAhead explicitly always wins.
-var DecodeAhead = defaultDecodeAhead()
-
-func defaultDecodeAhead() int {
-	if runtime.GOMAXPROCS(0) < 2 {
-		return 0
-	}
-	return 3
-}
-
-// ReplayWorkers is the number of host goroutines a single replay may
-// use for epoch-windowed parallel execution (sched.RunReplayParallel).
-// 1 forces the flat serial driver; 0 or negative selects the adaptive
-// default (GOMAXPROCS, or serial on a single-CPU host). Values above 1
-// on any host are byte-identical to serial — the parallel driver
-// commits a window only after proving the serial interleaving could not
-// have differed — so the knob tunes speed, never results, and is
-// deliberately excluded from scenario specs and result cache keys.
-var ReplayWorkers = 0
-
-func replayWorkers() int {
-	if ReplayWorkers > 0 {
-		return ReplayWorkers
-	}
-	n := runtime.GOMAXPROCS(0)
-	if n < 2 {
-		return 1
-	}
-	return n
-}
-
-// replayBatch is the pipeline's unit of work: events per decoded batch.
-// A 64KB chunk of typical 2-3-byte ref events decodes to ~2.5 batches.
+// replayBatch is the decode unit: events per decoded batch. A 64KB
+// chunk of typical 2-3-byte ref events decodes to ~2.5 batches.
 const replayBatch = 8192
 
-// Replay pipeline counters (package-wide, atomic): pipeline stalls —
-// turns where the driver wanted a batch that was not decoded yet — and
-// skeleton-arena reuse, surfaced as gauges by the experiments layer.
+// Skeleton-arena reuse counters (package-wide, atomic), surfaced by
+// the experiments layer.
 var (
-	decodeStalls atomic.Uint64
-	arenaHits    atomic.Uint64
-	arenaMisses  atomic.Uint64
+	arenaHits   atomic.Uint64
+	arenaMisses atomic.Uint64
 )
 
-// ReplayStats is a snapshot of the replay pipeline counters.
+// ReplayStats is a snapshot of the replay counters.
 type ReplayStats struct {
-	DecodeStalls uint64
-	ArenaHits    uint64
-	ArenaMisses  uint64
-
-	// Epoch replay window counters (sched.EpochStats): committed
-	// parallel windows, up-front serial windows, validation aborts.
-	EpochParallel uint64
-	EpochSerial   uint64
-	EpochAborted  uint64
+	ArenaHits   uint64
+	ArenaMisses uint64
 }
 
-// ReadReplayStats returns the process-wide replay pipeline counters.
+// ReadReplayStats returns the process-wide replay counters.
 func ReadReplayStats() ReplayStats {
-	par, ser, ab := sched.EpochStats()
-	return ReplayStats{
-		DecodeStalls:  decodeStalls.Load(),
-		ArenaHits:     arenaHits.Load(),
-		ArenaMisses:   arenaMisses.Load(),
-		EpochParallel: par,
-		EpochSerial:   ser,
-		EpochAborted:  ab,
-	}
+	return ReplayStats{ArenaHits: arenaHits.Load(), ArenaMisses: arenaMisses.Load()}
 }
 
 // decodeInto fills out with the cursor's next batch in the engine's
@@ -282,8 +216,16 @@ func decodeInto(cur *trace.Cursor, lm *lockmgr.Manager, out []sched.ReplayEvent)
 	})
 }
 
-// syncSource decodes inline on the driver goroutine (DecodeAhead <= 0),
-// still batch-at-a-time into one reused buffer.
+// Profiler label sets for the replay driver's goroutine: decoding runs
+// inline between event batches, so syncSource switches the "stage"
+// label around each decode to keep the profile's decode/replay split.
+var (
+	decodeLabels = pprof.WithLabels(context.Background(), pprof.Labels("stage", "decode"))
+	replayLabels = pprof.WithLabels(context.Background(), pprof.Labels("stage", "replay"))
+)
+
+// syncSource decodes one processor's stream inline on the driver
+// goroutine, batch-at-a-time into one reused buffer.
 func syncSource(cur *trace.Cursor, lm *lockmgr.Manager) sched.ReplaySource {
 	out := make([]sched.ReplayEvent, replayBatch)
 	var perr error
@@ -291,7 +233,9 @@ func syncSource(cur *trace.Cursor, lm *lockmgr.Manager) sched.ReplaySource {
 		if perr != nil {
 			return nil, perr
 		}
+		pprof.SetGoroutineLabels(decodeLabels)
 		n, err := decodeInto(cur, lm, out)
+		pprof.SetGoroutineLabels(replayLabels)
 		if n == 0 {
 			return nil, err
 		}
@@ -300,92 +244,18 @@ func syncSource(cur *trace.Cursor, lm *lockmgr.Manager) sched.ReplaySource {
 	}
 }
 
-type replayBatchMsg struct {
-	evs []sched.ReplayEvent
-	err error
-}
-
-// pipelineSource runs the decoder on its own goroutine, up to depth
-// batches ahead of the driver, recycling depth+1 buffers through a free
-// list (the +1 is the batch the driver is applying). done tears the
-// goroutine down when the replay exits early (error or panic unwind).
-func pipelineSource(cur *trace.Cursor, lm *lockmgr.Manager, depth int, done <-chan struct{}) sched.ReplaySource {
-	ch := make(chan replayBatchMsg, depth)
-	free := make(chan []sched.ReplayEvent, depth+1)
-	for i := 0; i < depth+1; i++ {
-		free <- make([]sched.ReplayEvent, replayBatch)
-	}
-	go withStage("decode", func() {
-		defer close(ch)
-		for {
-			var out []sched.ReplayEvent
-			select {
-			case out = <-free:
-			case <-done:
-				return
-			}
-			n, err := decodeInto(cur, lm, out)
-			if n == 0 && err == nil {
-				return
-			}
-			select {
-			case ch <- replayBatchMsg{evs: out[:n], err: err}:
-			case <-done:
-				return
-			}
-			if err != nil {
-				return
-			}
-		}
-	})
-	var prev []sched.ReplayEvent
-	var perr error
-	return func() ([]sched.ReplayEvent, error) {
-		if prev != nil {
-			free <- prev[:replayBatch]
-			prev = nil
-		}
-		if perr != nil {
-			return nil, perr
-		}
-		var m replayBatchMsg
-		var ok bool
-		select {
-		case m, ok = <-ch:
-		default:
-			// The decoder has not produced the next batch yet: a
-			// pipeline stall. Block for it.
-			decodeStalls.Add(1)
-			m, ok = <-ch
-		}
-		if !ok {
-			return nil, nil
-		}
-		if m.err != nil {
-			perr = m.err
-			if len(m.evs) == 0 {
-				return nil, perr
-			}
-		}
-		prev = m.evs
-		return m.evs, nil
-	}
-}
-
-// batchSources builds one replay source per processor over src's
-// streams, pipelined when DecodeAhead > 0.
-func batchSources(src trace.Source, lm *lockmgr.Manager, nodes int, done <-chan struct{}) []sched.ReplaySource {
-	depth := DecodeAhead
+// runReplay drives one flat replay of src's streams on eng, decoding
+// inline: the single-goroutine sched driver is the only replay path,
+// and host parallelism comes from running independent replay jobs
+// side by side.
+func runReplay(eng *sched.Engine, lm *lockmgr.Manager, src trace.Source, nodes int) error {
 	srcs := make([]sched.ReplaySource, nodes)
-	for i := 0; i < nodes; i++ {
-		cur := src.StreamCursor(i)
-		if depth <= 0 {
-			srcs[i] = syncSource(cur, lm)
-		} else {
-			srcs[i] = pipelineSource(cur, lm, depth, done)
-		}
+	for i := range srcs {
+		srcs[i] = syncSource(src.StreamCursor(i), lm)
 	}
-	return srcs
+	var err error
+	withStage("replay", func() { err = eng.RunReplay(srcs) })
+	return err
 }
 
 // replayOn drives a full replay on an engine whose machine and memory
@@ -402,12 +272,7 @@ func replayOn(eng *sched.Engine, lm *lockmgr.Manager, src trace.Source) (*Report
 			rep.Queries = append(rep.Queries, meta.Query)
 		}
 	}
-	done := make(chan struct{})
-	defer close(done)
-	srcs := batchSources(src, lm, meta.Nodes, done)
-	var err error
-	withStage("replay", func() { err = eng.RunReplayParallel(srcs, replayWorkers()) })
-	if err != nil {
+	if err := runReplay(eng, lm, src, meta.Nodes); err != nil {
 		return nil, fmt.Errorf("core: replaying %s: %w", meta.Query, err)
 	}
 	for _, p := range eng.Procs() {

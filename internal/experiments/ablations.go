@@ -52,23 +52,34 @@ func ablationPointName(axis string, p int) string {
 	return itoa(p)
 }
 
-// runConfigs runs one ablation sweep as a single job: the sweep's
-// configurations execute sequentially on one shared system (swapping
-// machines with ReplaceScenarioMachine), because the sweep's point is
-// the marginal effect of one knob along an axis — each point measured
-// against the same system history. The whole sweep is the cacheable
-// unit; independent sweeps still run concurrently as separate jobs.
+// runConfigs builds one ablation sweep of the ablations preset as a
+// single job — the one constructor behind every Ablate* entry point
+// and the ablations render. Every sweep point becomes a named
+// configuration via ApplyAxis, and the configurations execute
+// sequentially on one shared system (swapping machines with
+// ReplaceScenarioMachine), because the sweep's point is the marginal
+// effect of one knob along an axis — each point measured against the
+// same system history. The whole sweep is the cacheable unit;
+// independent sweeps run concurrently when submitted together (the
+// ablations render batches all three into one RunAll).
 //
-// With replay set, only the first two points execute: the first run on
-// a fresh system warms the database into its steady state, the second
-// is recorded, and every later point replays that recording under its
-// own machine — valid because the machine knobs these sweeps turn
-// (prefetch depth, write-buffer depth) never change the steady-state
-// reference stream. Contention sweeps pass false: the paper's framing
-// keeps them execution-measured.
-func (e *Exec) runConfigs(sc scenario.Scenario, query string, replay bool,
-	names []string, machines []scenario.Machine) ([]AblationPoint, error) {
-	job := &runner.Job{
+// The axis decides the measurement discipline. For timing-only knobs
+// (prefetch depth, write-buffer depth) only the first two points
+// execute: the first run on a fresh system warms the database into its
+// steady state, the second is recorded, and every later point replays
+// that recording under its own machine — valid because these knobs
+// never change the steady-state reference stream. Contention sweeps
+// stay execution-measured, as the paper frames them.
+func (e *Exec) runConfigs(o Options, axis, query string) *runner.Job {
+	sc := applyOptions(ablationScenario(axis, query), o)
+	replay := axis == scenario.AxisPrefetch || axis == scenario.AxisWriteBuf
+	names := make([]string, len(sc.Sweep.Points))
+	machines := make([]scenario.Machine, len(sc.Sweep.Points))
+	for i, p := range sc.Sweep.Points {
+		names[i] = ablationPointName(axis, p)
+		machines[i] = scenario.ApplyAxis(axis, sc.Machine, p)
+	}
+	return &runner.Job{
 		Name:  "ablate/" + query + "/" + names[0] + ".." + names[len(names)-1],
 		Mode:  "ablate",
 		Spec:  pointSpec(sc, machines[0], query),
@@ -105,29 +116,30 @@ func (e *Exec) runConfigs(sc scenario.Scenario, query string, replay bool,
 			return out, nil
 		},
 	}
-	res, err := e.pool.RunAll(context.Background(), []*runner.Job{job})
+}
+
+// runAblations submits sweep jobs as one batch, so independent sweeps
+// run side by side on the pool, and returns their points in argument
+// order.
+func (e *Exec) runAblations(jobs ...*runner.Job) ([][]AblationPoint, error) {
+	res, err := e.pool.RunAll(context.Background(), jobs)
 	if err != nil {
 		return nil, err
 	}
-	return res[0].([]AblationPoint), nil
+	out := make([][]AblationPoint, len(res))
+	for i, r := range res {
+		out[i] = r.([]AblationPoint)
+	}
+	return out, nil
 }
 
-// runAblation interprets one swept ablation spec: every sweep point
-// becomes a named configuration via ApplyAxis, and the axis decides the
-// measurement discipline — timing-only knobs (prefetch, write buffer)
-// replay one recording, contention stays execution-measured.
-func (e *Exec) runAblation(o Options, sc scenario.Scenario) ([]AblationPoint, error) {
-	sc = applyOptions(sc, o)
-	axis := sc.Sweep.Axis
-	replay := axis == scenario.AxisPrefetch || axis == scenario.AxisWriteBuf
-	query := sc.Workload.Queries[0]
-	names := make([]string, len(sc.Sweep.Points))
-	machines := make([]scenario.Machine, len(sc.Sweep.Points))
-	for i, p := range sc.Sweep.Points {
-		names[i] = ablationPointName(axis, p)
-		machines[i] = scenario.ApplyAxis(axis, sc.Machine, p)
+// runAblation runs one ablation sweep on its own.
+func (e *Exec) runAblation(o Options, axis, query string) ([]AblationPoint, error) {
+	res, err := e.runAblations(e.runConfigs(o, axis, query))
+	if err != nil {
+		return nil, err
 	}
-	return e.runConfigs(sc, query, replay, names, machines)
+	return res[0], nil
 }
 
 // ablationScenario pulls the ablations-preset spec for one axis,
@@ -158,7 +170,7 @@ func AblatePrefetchDegree(o Options, query string) ([]AblationPoint, error) {
 
 // AblatePrefetchDegree is the Exec-bound form of the package function.
 func (e *Exec) AblatePrefetchDegree(o Options, query string) ([]AblationPoint, error) {
-	return e.runAblation(o, ablationScenario(scenario.AxisPrefetch, query))
+	return e.runAblation(o, scenario.AxisPrefetch, query)
 }
 
 // WriteBufferDepths is the write-buffer ablation (the paper fixes 16).
@@ -173,7 +185,7 @@ func AblateWriteBuffer(o Options, query string) ([]AblationPoint, error) {
 
 // AblateWriteBuffer is the Exec-bound form of the package function.
 func (e *Exec) AblateWriteBuffer(o Options, query string) ([]AblationPoint, error) {
-	return e.runAblation(o, ablationScenario(scenario.AxisWriteBuf, query))
+	return e.runAblation(o, scenario.AxisWriteBuf, query)
 }
 
 // AblateContention toggles directory-occupancy queueing — the paper
@@ -185,7 +197,7 @@ func AblateContention(o Options, query string) ([]AblationPoint, error) {
 
 // AblateContention is the Exec-bound form of the package function.
 func (e *Exec) AblateContention(o Options, query string) ([]AblationPoint, error) {
-	return e.runAblation(o, ablationScenario(scenario.AxisContention, query))
+	return e.runAblation(o, scenario.AxisContention, query)
 }
 
 // CompareTopology runs each query on the paper's directory CC-NUMA and

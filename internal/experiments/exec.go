@@ -55,29 +55,17 @@ type execMetrics struct {
 var experimentBuckets = []float64{.05, .1, .25, .5, 1, 2.5, 5, 10, 30, 60, 120, 300, 600}
 
 func newExecMetrics(r *metrics.Registry) execMetrics {
-	// Replay pipeline gauges: process-wide counters maintained by
+	// Replay gauges: process-wide counters maintained by
 	// internal/core and internal/trace, sampled at gather time.
 	r.GaugeFunc("dssmem_trace_streamed_bytes",
 		"Trace chunk bytes read on demand by streaming replay cursors.",
 		func() float64 { return float64(trace.StreamedBytes()) })
-	r.GaugeFunc("dssmem_replay_decode_stalls_total",
-		"Replay driver turns that waited on the decode-ahead pipeline.",
-		func() float64 { return float64(core.ReadReplayStats().DecodeStalls) })
 	r.GaugeFunc("dssmem_replay_arena_hits_total",
 		"Replay skeleton systems served from the reuse arena.",
 		func() float64 { return float64(core.ReadReplayStats().ArenaHits) })
 	r.GaugeFunc("dssmem_replay_arena_misses_total",
 		"Replay skeleton systems built fresh (arena miss).",
 		func() float64 { return float64(core.ReadReplayStats().ArenaMisses) })
-	r.GaugeFunc("dssmem_replay_epoch_parallel_total",
-		"Replay clock windows committed by the parallel epoch driver.",
-		func() float64 { return float64(core.ReadReplayStats().EpochParallel) })
-	r.GaugeFunc("dssmem_replay_epoch_serial_total",
-		"Replay clock windows classified serial (overlap or lock op).",
-		func() float64 { return float64(core.ReadReplayStats().EpochSerial) })
-	r.GaugeFunc("dssmem_replay_epoch_aborts_total",
-		"Replay clock windows rolled back after failed commit validation.",
-		func() float64 { return float64(core.ReadReplayStats().EpochAborted) })
 	return execMetrics{
 		seconds: r.HistogramVec("dssmem_experiment_seconds",
 			"Host wall-clock per rendered experiment.", experimentBuckets, "exp"),

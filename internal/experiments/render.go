@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/machine"
+	"repro/internal/runner"
 	"repro/internal/scenario"
 )
 
@@ -189,27 +190,29 @@ func (e *Exec) renderExperiment(w io.Writer, name string, o Options) error {
 		fmt.Fprint(w, UpdateTable(results))
 
 	case "ablations":
-		fmt.Fprintln(w, "Ablation: prefetch degree on Q6 (paper fixes 4)")
-		pts, err := e.AblatePrefetchDegree(o, "Q6")
+		// The three sweeps are independent jobs on their own fresh
+		// systems: one batch lets them run side by side.
+		sections := []struct{ title, axis, query string }{
+			{"Ablation: prefetch degree on Q6 (paper fixes 4)", scenario.AxisPrefetch, "Q6"},
+			{"Ablation: write-buffer depth on Q6 (paper fixes 16)", scenario.AxisWriteBuf, "Q6"},
+			{"Ablation: directory contention on Q3 (paper models all but network)", scenario.AxisContention, "Q3"},
+		}
+		jobs := make([]*runner.Job, len(sections))
+		for i, sec := range sections {
+			jobs[i] = e.runConfigs(o, sec.axis, sec.query)
+		}
+		sweeps, err := e.runAblations(jobs...)
 		if err != nil {
 			return err
 		}
-		e.addCycles(name, ablationClocks(pts)...)
-		fmt.Fprint(w, AblationTable(pts))
-		fmt.Fprintln(w)
-		fmt.Fprintln(w, "Ablation: write-buffer depth on Q6 (paper fixes 16)")
-		if pts, err = e.AblateWriteBuffer(o, "Q6"); err != nil {
-			return err
+		for i, pts := range sweeps {
+			if i > 0 {
+				fmt.Fprintln(w)
+			}
+			e.addCycles(name, ablationClocks(pts)...)
+			fmt.Fprintln(w, sections[i].title)
+			fmt.Fprint(w, AblationTable(pts))
 		}
-		e.addCycles(name, ablationClocks(pts)...)
-		fmt.Fprint(w, AblationTable(pts))
-		fmt.Fprintln(w)
-		fmt.Fprintln(w, "Ablation: directory contention on Q3 (paper models all but network)")
-		if pts, err = e.AblateContention(o, "Q3"); err != nil {
-			return err
-		}
-		e.addCycles(name, ablationClocks(pts)...)
-		fmt.Fprint(w, AblationTable(pts))
 
 	case "intraquery":
 		results, err := RunIntraQuery(o)

@@ -7,28 +7,24 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/runner"
 )
 
-// TestStreamedReplayWorstCasePipeline runs a fig8-shaped sweep under
-// the worst decode-ahead budget the pipeline supports — a single batch
-// in flight, so the replay driver overruns the decoder as often as the
-// workload allows — with every capture streamed back from a trace
-// directory, and requires the result to be byte-identical to (a) the
-// fully unpipelined synchronous decode path and (b) fresh per-point
-// serial execution.
+// TestStreamedReplayWorstCasePipeline runs a fig8-shaped sweep through
+// the whole capture -> spill -> stream -> replay pipeline: the first
+// pass captures and spills every trace to a trace directory, the second
+// has no inline blob and must stream every replay back from it (the
+// trace store's worst case). Both must render identical bytes and match
+// fresh per-point serial execution.
 func TestStreamedReplayWorstCasePipeline(t *testing.T) {
-	defer func(d int) { core.DecodeAhead = d }(core.DecodeAhead)
 	dir := t.TempDir()
 	o := replayOptions("Q6")
 
-	sweep := func(depth, workers int) ([]SweepPoint, string) {
+	sweep := func() ([]SweepPoint, string) {
 		t.Helper()
-		core.DecodeAhead = depth
-		e := NewExecConfig(runner.Config{Workers: workers, TraceDir: dir})
+		e := NewExecConfig(runner.Config{Workers: 4, TraceDir: dir})
 		defer e.Close()
 		pts, err := e.RunLineSweep(o)
 		if err != nil {
@@ -41,24 +37,13 @@ func TestStreamedReplayWorstCasePipeline(t *testing.T) {
 		return pts, buf.String()
 	}
 
-	// First run captures (and spills to dir); second run has no inline
-	// blob and must stream every replay from the trace store.
-	pipelined, pipeBytes := sweep(1, 4)
-	streamed, streamBytes := sweep(1, 4)
-	if streamBytes != pipeBytes {
+	captured, capBytes := sweep()
+	streamed, streamBytes := sweep()
+	if streamBytes != capBytes {
 		t.Error("streamed rerun rendered different fig8 bytes than the capturing run")
 	}
-	if !reflect.DeepEqual(streamed, pipelined) {
+	if !reflect.DeepEqual(streamed, captured) {
 		t.Error("streamed rerun diverges from the capturing run")
-	}
-
-	unpipelined, flatBytes := sweep(0, 1)
-	if flatBytes != pipeBytes {
-		t.Error("pipelined fig8 render differs from unpipelined render")
-	}
-	if !reflect.DeepEqual(unpipelined, pipelined) {
-		t.Errorf("pipelined sweep diverges from unpipelined replay\npipelined:   %+v\nunpipelined: %+v",
-			pipelined, unpipelined)
 	}
 
 	if raceEnabled {
@@ -69,9 +54,9 @@ func TestStreamedReplayWorstCasePipeline(t *testing.T) {
 	for i, ls := range LineSizes {
 		executed[i] = executeSweepPoint(t, o, machine.Baseline().WithLineSize(ls), "Q6", ls)
 	}
-	if !reflect.DeepEqual(pipelined, executed) {
-		t.Errorf("streamed pipelined sweep diverges from serial execution\nreplay:  %+v\nexecute: %+v",
-			pipelined, executed)
+	if !reflect.DeepEqual(captured, executed) {
+		t.Errorf("streamed sweep diverges from serial execution\nreplay:  %+v\nexecute: %+v",
+			captured, executed)
 	}
 }
 

@@ -47,11 +47,6 @@ type l1Cache struct {
 	setMask   uint64   // sets-1 when sets is a power of two, else 0
 	lines     []uint64 // line address per set; 0 = invalid
 	seen      *seenTab
-	// j, when non-nil, records an undo entry for every mutation — the
-	// epoch replay attaches it to the owning processor's caches for the
-	// duration of a speculative window (see shadow.go). Nil on every
-	// serial path, costing one predictable branch per mutation.
-	j *cacheJournal
 }
 
 func newL1(bytes, line int) *l1Cache {
@@ -83,16 +78,7 @@ func (c *l1Cache) lookup(a uint64) bool {
 func (c *l1Cache) fill(a uint64) {
 	line := c.lineOf(a)
 	s := c.setOf(line)
-	v := c.lines[s]
-	if j := c.j; j != nil {
-		j.push(uL1Line, s, v)
-		if v != 0 && v != line {
-			j.push(uL1Seen, v, uint64(c.seen.get(v)))
-		}
-		j.push(uL1Seen, line, uint64(c.seen.get(line)))
-		j.l1Fills = append(j.l1Fills, s)
-	}
-	if v != 0 && v != line {
+	if v := c.lines[s]; v != 0 && v != line {
 		c.seen.set(v, absentReplaced)
 	}
 	c.lines[s] = line
@@ -105,10 +91,6 @@ func (c *l1Cache) invalidateRange(a, n uint64, reason uint8) {
 	for line := c.lineOf(a); line < a+n; line += c.lineSize {
 		s := c.setOf(line)
 		if c.lines[s] == line {
-			if j := c.j; j != nil {
-				j.push(uL1Line, s, line)
-				j.push(uL1Seen, line, uint64(c.seen.get(line)))
-			}
 			c.lines[s] = 0
 			c.seen.set(line, reason)
 		}
@@ -149,7 +131,6 @@ type l2Cache struct {
 	state     []uint8
 	order     []uint8 // recency rank within the set: 0 = LRU, ways-1 = MRU
 	seen      *seenTab
-	j         *cacheJournal // speculative-window undo log; nil when serial
 }
 
 func newL2(bytes, line, ways int) *l2Cache {
@@ -188,9 +169,6 @@ func (c *l2Cache) touch(base, i int) {
 	r := c.order[i]
 	if int(r) == c.ways-1 {
 		return // already MRU; ranks are unchanged
-	}
-	if j := c.j; j != nil {
-		j.pushOrder(c, base)
 	}
 	for w := 0; w < c.ways; w++ {
 		if c.order[base+w] > r {
@@ -245,16 +223,7 @@ func (c *l2Cache) fill(line uint64, st uint8) (victim uint64, victimState uint8)
 			}
 		}
 		victim, victimState = c.tags[slot], c.state[slot]
-		if j := c.j; j != nil {
-			j.push(uL2Seen, victim, uint64(c.seen.get(victim)))
-		}
 		c.seen.set(victim, absentReplaced)
-	}
-	if j := c.j; j != nil {
-		j.push(uL2Tag, uint64(slot), c.tags[slot])
-		j.push(uL2State, uint64(slot), uint64(c.state[slot]))
-		j.push(uL2Seen, line, uint64(c.seen.get(line)))
-		j.l2Fills = append(j.l2Fills, uint64(base/c.ways))
 	}
 	c.tags[slot] = line
 	c.state[slot] = st
@@ -266,9 +235,6 @@ func (c *l2Cache) fill(line uint64, st uint8) (victim uint64, victimState uint8)
 // setState changes the state of a resident line.
 func (c *l2Cache) setState(line uint64, st uint8) {
 	if i := c.find(line); i >= 0 {
-		if j := c.j; j != nil {
-			j.push(uL2State, uint64(i), uint64(c.state[i]))
-		}
 		c.state[i] = st
 	}
 }
@@ -276,10 +242,6 @@ func (c *l2Cache) setState(line uint64, st uint8) {
 // invalidate drops the line for a coherence reason.
 func (c *l2Cache) invalidate(line uint64) bool {
 	if i := c.find(line); i >= 0 {
-		if j := c.j; j != nil {
-			j.push(uL2State, uint64(i), uint64(c.state[i]))
-			j.push(uL2Seen, line, uint64(c.seen.get(line)))
-		}
 		c.state[i] = stInvalid
 		c.seen.set(line, absentInvalidated)
 		return true

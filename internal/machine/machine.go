@@ -96,18 +96,6 @@ type Machine struct {
 	// Line-size-dependent transfer adjustments (see Config.TransferPerWord).
 	l1FillLat int64
 	l2Extra   int64
-
-	// sh marks this Machine value as one processor's speculative view
-	// inside an epoch-parallel replay window (see shadow.go): directory
-	// lookups read through a private overlay, occupancy reservations are
-	// logged for merge validation, and remote-node mutations buffer as
-	// intents. Always nil on the base machine, so the serial paths pay
-	// one predictable nil check at each interception point.
-	sh *Shadow
-
-	// winScratch holds the reusable validation state of CommitWindow;
-	// lazily allocated on the base machine, never on shadows.
-	winScratch *commitScratch
 }
 
 // New builds a machine over the given simulated address space.
@@ -215,9 +203,6 @@ func (m *Machine) Flush() {
 // invalidated by the next entry call; callers must not hold it across
 // one.
 func (m *Machine) entry(line uint64) *dirEntry {
-	if m.sh != nil {
-		return m.sh.dirEntry(line)
-	}
 	return m.dir.entry(line)
 }
 
@@ -229,38 +214,12 @@ func (m *Machine) dirQueue(home int, now int64) int64 {
 		start = m.dirFreeAt[home]
 	}
 	m.dirFreeAt[home] = start + m.cfg.DirOccupancy
-	if m.sh != nil {
-		// Shadow view: the delay was computed against a private copy of
-		// the occupancy clocks. Log it so CommitWindow can re-derive the
-		// delay from the merged cross-processor reservation order and
-		// abort the window if interleaved reservations would have
-		// changed it.
-		m.sh.dirLog = append(m.sh.dirLog,
-			dirTouch{home: int32(home), reserve: m.cfg.DirOccupancy,
-				issue: m.sh.stepClock, now: now, delay: start - now})
-	}
 	return start - now
 }
 
 // invalidateOthers removes every copy of the line except node n's,
 // marking the victims as coherence-invalidated.
 func (m *Machine) invalidateOthers(n int, line uint64, e *dirEntry) {
-	if m.sh != nil {
-		// Shadow view: never touch another node's caches mid-window —
-		// buffer the invalidation as an intent, applied (or vetoed) at
-		// commit. The count is final either way: the serial run would
-		// count one invalidation per sharer bit regardless of whether
-		// the victim still caches the line.
-		for q := 0; q < m.cfg.Nodes; q++ {
-			if q == n || e.sharers&(1<<uint(q)) == 0 {
-				continue
-			}
-			m.sh.intents = append(m.sh.intents, intent{target: int32(q), line: line, inval: true})
-			m.st.Invalidations++
-		}
-		e.sharers &= 1 << uint(n)
-		return
-	}
 	for q := 0; q < m.cfg.Nodes; q++ {
 		if q == n || e.sharers&(1<<uint(q)) == 0 {
 			continue
@@ -280,11 +239,6 @@ func (m *Machine) busQueue(now int64) int64 {
 		start = m.dirFreeAt[0]
 	}
 	m.dirFreeAt[0] = start + m.cfg.BusLat
-	if m.sh != nil {
-		m.sh.dirLog = append(m.sh.dirLog,
-			dirTouch{home: 0, reserve: m.cfg.BusLat,
-				issue: m.sh.stepClock, now: now, delay: start - now})
-	}
 	return start - now
 }
 
@@ -325,11 +279,7 @@ func (m *Machine) fetchLine(n int, line uint64, now int64, exclusive bool) int64
 		if forward {
 			// The dirty third node supplies the data and keeps a
 			// shared copy.
-			if m.sh != nil {
-				m.sh.intents = append(m.sh.intents, intent{target: int32(e.owner), line: line})
-			} else {
-				m.nodes[e.owner].l2.setState(line, stShared)
-			}
+			m.nodes[e.owner].l2.setState(line, stShared)
 			e.modified = false
 		}
 		e.sharers |= 1 << uint(n)

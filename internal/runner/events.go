@@ -35,8 +35,15 @@ type Event struct {
 	State    State
 	Attempt  int
 	CacheHit bool
-	Elapsed  time.Duration
-	Err      string
+	// Elapsed is finished − submitted on JobFinished: queue wait plus
+	// run time. Queue and Run split it — a job submitted in a batch
+	// behind busy workers waits before it runs. A job settled without
+	// running (cache hit at submission, skipped, failed before start)
+	// spends all of Elapsed in Queue.
+	Elapsed time.Duration
+	Queue   time.Duration
+	Run     time.Duration
+	Err     string
 	// Key is the job's content-addressed cache key ("" for NoCache
 	// jobs). It is the cross-process identity of the measurement, so a
 	// listener tracking a scenario's progress can match events against
@@ -95,10 +102,16 @@ func (p *Pool) publishFinished(rec *jobRec) {
 	if rec.err != nil {
 		errText = rec.err.Error()
 	}
-	p.publish(Event{
+	ev := Event{
 		Kind: JobFinished, Job: rec.id, Name: rec.job.Name,
 		State: rec.state, Attempt: rec.attempts, CacheHit: rec.cacheHit,
 		Elapsed: rec.finished.Sub(rec.submitted), Err: errText,
 		Key: rec.key,
-	})
+	}
+	ev.Queue = ev.Elapsed
+	if !rec.started.IsZero() {
+		ev.Queue = rec.started.Sub(rec.submitted)
+		ev.Run = rec.finished.Sub(rec.started)
+	}
+	p.publish(ev)
 }

@@ -44,14 +44,6 @@ type Config struct {
 	// Workers is the worker-pool size; <= 0 means GOMAXPROCS. Each busy
 	// worker builds one simulated system, so memory scales with Workers.
 	Workers int
-	// ReplayWorkers, when > 0, sets the process-wide replay parallelism
-	// (core.ReplayWorkers): the host goroutines the epoch-windowed
-	// driver uses inside a single trace replay. It is execution policy,
-	// not job identity — replay output is byte-identical at any worker
-	// count — so it is deliberately absent from cache keys and scenario
-	// specs. 1 forces the flat serial driver; 0 keeps the adaptive
-	// default (GOMAXPROCS, serial below two cores).
-	ReplayWorkers int
 	// CacheDir, when non-empty, backs the result cache with a directory
 	// of gob files that survive process restarts.
 	CacheDir string
@@ -117,9 +109,6 @@ func New(cfg Config) *Pool {
 	n := cfg.Workers
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
-	}
-	if cfg.ReplayWorkers > 0 {
-		core.ReplayWorkers = cfg.ReplayWorkers
 	}
 	factory := cfg.Factory
 	if factory == nil {

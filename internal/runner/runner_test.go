@@ -485,6 +485,54 @@ func TestEvents(t *testing.T) {
 	}
 }
 
+// TestEventQueueAndRunTimes checks that finished events split a job's
+// elapsed time into queue wait and run time: a job submitted behind a
+// busy single worker waits for it, so its run time is shorter than its
+// submission-to-finish elapsed time, and the two parts add up.
+func TestEventQueueAndRunTimes(t *testing.T) {
+	p, _ := newTestPool(t, 1)
+	events, cancel := p.Subscribe(16)
+	defer cancel()
+	release := make(chan struct{})
+	busy, err := p.Submit(&Job{Name: "busy", NoCache: true,
+		Body: func(*Ctx) (interface{}, error) { <-release; return nil, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunning(t, p, 1)
+	queued, err := p.Submit(&Job{Name: "queued", NoCache: true,
+		Body: func(*Ctx) (interface{}, error) { return nil, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hold = 20 * time.Millisecond
+	time.Sleep(hold)
+	close(release)
+	if _, err := p.Wait(context.Background(), busy, queued); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		select {
+		case ev := <-events:
+			if ev.Kind != JobFinished || ev.Job != queued {
+				continue
+			}
+			if ev.Queue < hold {
+				t.Errorf("queue = %v, want >= %v spent behind the busy worker", ev.Queue, hold)
+			}
+			if ev.Run >= ev.Elapsed {
+				t.Errorf("run = %v not shorter than elapsed %v", ev.Run, ev.Elapsed)
+			}
+			if ev.Queue+ev.Run != ev.Elapsed {
+				t.Errorf("queue %v + run %v != elapsed %v", ev.Queue, ev.Run, ev.Elapsed)
+			}
+			return
+		case <-time.After(5 * time.Second):
+			t.Fatal("timed out waiting for the queued job's finished event")
+		}
+	}
+}
+
 // TestWaitContext checks that Wait respects context cancellation.
 func TestWaitContext(t *testing.T) {
 	p, _ := newTestPool(t, 1)

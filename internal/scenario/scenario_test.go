@@ -72,10 +72,10 @@ func TestDecodeErrors(t *testing.T) {
 		"type mismatch": `{"machine": {"processors": "four"}}`,
 		"trailing data": `{} {"machine": {}}`,
 		"not an object": `[1, 2]`,
-		// replay_workers is execution policy (runner.Config /
-		// -replay-workers), never spec vocabulary: replay output is
-		// byte-identical at any worker count, so admitting it here
-		// would pollute cache keys with a non-semantic knob.
+		// replay_workers, a retired replay-parallelism knob, was never
+		// spec vocabulary: replay output does not depend on how it is
+		// executed, so admitting it here would pollute cache keys with
+		// a non-semantic field.
 		"replay_workers top level":   `{"replay_workers": 4}`,
 		"replay_workers in machine":  `{"machine": {"replay_workers": 4}}`,
 		"replay_workers in workload": `{"workload": {"replay_workers": 4}}`,
@@ -150,15 +150,15 @@ func TestCanonicalAndHash(t *testing.T) {
 	}
 
 	perturb := map[string]func(*Scenario){
-		"machine":  func(s *Scenario) { s.Machine.L2Ways = 4 },
-		"sched":    func(s *Scenario) { s.Machine.BusyPerAccess = 5 },
-		"queries":  func(s *Scenario) { s.Workload.Queries = []string{"Q3"} },
-		"scale":    func(s *Scenario) { s.Workload.Scale = 0.004 },
-		"seed":     func(s *Scenario) { s.Workload.Seed = 7 },
-		"warm":     func(s *Scenario) { s.Workload.Warm = "Q6" },
-		"heap":     func(s *Scenario) { s.Workload.PrivateHeapBytes = 64 << 20 },
-		"axis":     func(s *Scenario) { s.Sweep = Sweep{Axis: AxisLine, Points: []int{64}} },
-		"points":   func(s *Scenario) { s.Sweep = Sweep{Axis: AxisLine, Points: []int{64, 128}} },
+		"machine":   func(s *Scenario) { s.Machine.L2Ways = 4 },
+		"sched":     func(s *Scenario) { s.Machine.BusyPerAccess = 5 },
+		"queries":   func(s *Scenario) { s.Workload.Queries = []string{"Q3"} },
+		"scale":     func(s *Scenario) { s.Workload.Scale = 0.004 },
+		"seed":      func(s *Scenario) { s.Workload.Seed = 7 },
+		"warm":      func(s *Scenario) { s.Workload.Warm = "Q6" },
+		"heap":      func(s *Scenario) { s.Workload.PrivateHeapBytes = 64 << 20 },
+		"axis":      func(s *Scenario) { s.Sweep = Sweep{Axis: AxisLine, Points: []int{64}} },
+		"points":    func(s *Scenario) { s.Sweep = Sweep{Axis: AxisLine, Points: []int{64, 128}} },
 		"costmodel": func(s *Scenario) { s.Workload.TupleBusy = 1 },
 	}
 	for field, mutate := range perturb {

@@ -466,9 +466,8 @@ type ReplayEvent struct {
 // ReplaySource supplies one processor's recorded events in batches. A
 // call returns the next batch in stream order; an empty batch means end
 // of stream. The driver fully consumes a returned batch before calling
-// again, so sources may reuse the backing array — that is what lets a
-// decode pipeline run ahead on other goroutines while recycling a fixed
-// set of buffers.
+// again, so sources may reuse the backing array: the inline decoder
+// refills one buffer per processor.
 type ReplaySource func() ([]ReplayEvent, error)
 
 // RunReplay drives one recorded event source per processor through the

@@ -75,8 +75,8 @@ type Segment struct {
 	Queries []string
 	// Flush records that the phase started from flushed caches; replay
 	// must flush at the same boundary to reproduce the recorded run.
-	Flush bool
-	Rows  []int // per-processor result rows of the phase
+	Flush   bool
+	Rows    []int // per-processor result rows of the phase
 	Streams []Stream
 }
 
@@ -517,10 +517,10 @@ func (c *Cursor) DecodeReplayBatch(evs []sched.ReplayEvent,
 
 // DecodeBatch decodes up to len(evs) events into evs and returns how
 // many it wrote. n == 0 (with a nil error) means the end of the stream.
-// Batch decode is the pipelined replay's unit of work: the decoder runs
-// it off the driver goroutine, filling reusable buffers a chunk's worth
-// of events at a time. A decode error may follow a short batch — the
-// events before the error are valid and returned.
+// Batch decode is the replay's unit of work: the driver refills one
+// reusable buffer a chunk's worth of events at a time. A decode error
+// may follow a short batch — the events before the error are valid and
+// returned.
 func (c *Cursor) DecodeBatch(evs []Event) (int, error) {
 	n := 0
 	for n < len(evs) {

@@ -1,6 +1,7 @@
 // Benchmarks for the replay fast path: trace decode (per-event vs
-// batched) and whole-sweep replay (whole-blob buffering vs streamed
-// chunk reads). These are the gated benchmarks — `make bench-diff-replay`
+// batched), whole-sweep replay (whole-blob buffering vs streamed chunk
+// reads), and the replay kernel alone (in-memory traces through the
+// sched driver and the machine model). These are the gated benchmarks — `make bench-diff-replay`
 // fails CI if their ns/op regresses by more than 10%.
 package repro
 
@@ -15,17 +16,22 @@ import (
 	"repro/internal/trace"
 )
 
+// benchQueries are the queries the replay benchmarks capture: the
+// paper's Figure 6 trio.
+var benchQueries = []string{"Q3", "Q6", "Q12"}
+
 var benchTrace struct {
 	once sync.Once
-	tr   *trace.QueryTrace
+	trs  map[string]*trace.QueryTrace
 	blob []byte
 	mcfg machine.Config
 	err  error
 }
 
-// benchReplayTrace captures Q6 at the bench scale once and shares the
-// recording (and its marshaled blob) across the replay benchmarks.
-func benchReplayTrace(b *testing.B) (*trace.QueryTrace, []byte, machine.Config) {
+// benchReplayTraces captures the bench queries at the bench scale once
+// and shares the recordings (and Q6's marshaled blob) across the replay
+// benchmarks.
+func benchReplayTraces(b *testing.B) (map[string]*trace.QueryTrace, machine.Config) {
 	b.Helper()
 	benchTrace.once.Do(func() {
 		cfg := core.DefaultConfig()
@@ -35,15 +41,24 @@ func benchReplayTrace(b *testing.B) (*trace.QueryTrace, []byte, machine.Config) 
 			benchTrace.err = err
 			return
 		}
-		_, tr := s.RunColdRecorded("Q6")
-		benchTrace.tr = tr
-		benchTrace.blob = tr.Marshal()
+		benchTrace.trs = make(map[string]*trace.QueryTrace, len(benchQueries))
+		for _, q := range benchQueries {
+			_, benchTrace.trs[q] = s.RunColdRecorded(q)
+		}
+		benchTrace.blob = benchTrace.trs["Q6"].Marshal()
 		benchTrace.mcfg = cfg.Machine
 	})
 	if benchTrace.err != nil {
 		b.Fatal(benchTrace.err)
 	}
-	return benchTrace.tr, benchTrace.blob, benchTrace.mcfg
+	return benchTrace.trs, benchTrace.mcfg
+}
+
+// benchReplayTrace returns the captured Q6 trace, its blob, and the
+// machine it was captured on.
+func benchReplayTrace(b *testing.B) (*trace.QueryTrace, []byte, machine.Config) {
+	trs, mcfg := benchReplayTraces(b)
+	return trs["Q6"], benchTrace.blob, mcfg
 }
 
 // BenchmarkReplayDecode measures raw event decode throughput over every
@@ -148,4 +163,29 @@ func BenchmarkReplayStreamed(b *testing.B) {
 			f.Close()
 		}
 	})
+}
+
+// BenchmarkReplayKernel measures the replay layer on its own: the
+// captured Q3, Q6 and Q12 traces replayed cold from memory on the
+// baseline machine, which is what every sweep point runs. ns/event is
+// the per-reference cost of the sched driver, the inline decoder and
+// the machine model together.
+func BenchmarkReplayKernel(b *testing.B) {
+	trs, mcfg := benchReplayTraces(b)
+	var events uint64
+	for _, q := range benchQueries {
+		for _, s := range trs[q].Streams {
+			events += s.Events
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, q := range benchQueries {
+			if _, err := core.ReplayTrace(trs[q], mcfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*events), "ns/event")
 }

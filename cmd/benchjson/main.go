@@ -9,16 +9,21 @@
 // -cpu suffix stripped), carrying every reported metric — ns/op, B/op,
 // allocs/op, and any custom b.ReportMetric units. Non-benchmark lines
 // (pkg headers, PASS/ok) are ignored, so raw output can be piped in
-// directly or via a saved file.
+// directly or via a saved file. The snapshot also records a host
+// fingerprint: the CPU model from the output's "cpu:" header, and the
+// CPU count, GOMAXPROCS and Go version of the host converting it.
 //
 // With -diff BASELINE the run is instead compared against a committed
 // snapshot: every benchmark present in both is reported with its ns/op
 // delta, and the exit status is 1 when any delta exceeds -max-regress
 // percent (default 10). Benchmarks only on one side are listed but
 // never fail the comparison, so adding or retiring a benchmark doesn't
-// break the gate. -only RE restricts both sides to benchmark names
-// matching the regexp, so a subset of benchmarks (say, the replay fast
-// path) can be gated strictly while the rest stay advisory.
+// break the gate. Both snapshots' host fingerprints are printed, with
+// a "hosts differ" line when both are recorded and differ; the gate
+// itself does not look at them. -only RE restricts both sides to
+// benchmark names matching the regexp, so a subset of benchmarks (say,
+// the replay fast path) can be gated strictly while the rest stay
+// advisory.
 package main
 
 import (
@@ -30,6 +35,7 @@ import (
 	"log"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -43,8 +49,9 @@ type result struct {
 	Metrics    map[string]float64 `json:"metrics"`
 }
 
-func parse(r io.Reader) ([]result, error) {
-	var out []result
+// parse reads `go test -bench` output: the benchmark lines, and the CPU
+// model from the "cpu:" header when the output has one.
+func parse(r io.Reader) (out []result, cpu string, err error) {
 	pkg := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -52,6 +59,10 @@ func parse(r io.Reader) ([]result, error) {
 		line := strings.TrimSpace(sc.Text())
 		if rest, ok := strings.CutPrefix(line, "pkg: "); ok {
 			pkg = rest
+			continue
+		}
+		if rest, ok := strings.CutPrefix(line, "cpu: "); ok {
+			cpu = rest
 			continue
 		}
 		if !strings.HasPrefix(line, "Benchmark") {
@@ -77,13 +88,13 @@ func parse(r io.Reader) ([]result, error) {
 		for i := 2; i+1 < len(f); i += 2 {
 			v, err := strconv.ParseFloat(f[i], 64)
 			if err != nil {
-				return nil, fmt.Errorf("bad metric value in %q: %v", line, err)
+				return nil, "", fmt.Errorf("bad metric value in %q: %v", line, err)
 			}
 			res.Metrics[f[i+1]] = v
 		}
 		out = append(out, res)
 	}
-	return out, sc.Err()
+	return out, cpu, sc.Err()
 }
 
 // filter keeps only results whose name matches re (nil keeps all) and
@@ -107,9 +118,47 @@ func filter(rs []result, re *regexp.Regexp) []result {
 	return out
 }
 
+// hostInfo fingerprints the host a snapshot was measured on, so a diff
+// can tell a code change from a hardware change.
+type hostInfo struct {
+	CPU        string `json:"cpu"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+}
+
+// thisHost fingerprints the running host; cpu is the model the
+// benchmark output reported.
+func thisHost(cpu string) *hostInfo {
+	return &hostInfo{CPU: cpu, NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
+}
+
+func (h *hostInfo) String() string {
+	if h == nil {
+		return "not recorded"
+	}
+	cpu := h.CPU
+	if cpu == "" {
+		cpu = "unknown CPU"
+	}
+	return fmt.Sprintf("%s, %d CPUs, GOMAXPROCS=%d, %s", cpu, h.NumCPU, h.GOMAXPROCS, h.GoVersion)
+}
+
 // snapshot is the file format this tool writes and -diff reads back.
+// Snapshots written before fingerprints were recorded have no host.
 type snapshot struct {
-	Benchmarks []result `json:"benchmarks"`
+	Host       *hostInfo `json:"host,omitempty"`
+	Benchmarks []result  `json:"benchmarks"`
+}
+
+// diffHosts prints both fingerprints, and flags a comparison across
+// different hosts: its deltas measure the hardware as well as the code.
+func diffHosts(w io.Writer, baseline, current *hostInfo) {
+	fmt.Fprintf(w, "baseline host: %s\n", baseline)
+	fmt.Fprintf(w, "this host:     %s\n", current)
+	if baseline != nil && current != nil && *baseline != *current {
+		fmt.Fprintln(w, "hosts differ: ns/op deltas include the hardware difference")
+	}
 }
 
 // diff compares current against baseline on ns/op and writes one line
@@ -181,7 +230,7 @@ func main() {
 		in = io.MultiReader(readers...)
 	}
 
-	results, err := parse(in)
+	results, cpu, err := parse(in)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -205,6 +254,7 @@ func main() {
 		if err := json.Unmarshal(raw, &snap); err != nil {
 			log.Fatalf("%s: %v", *diffPath, err)
 		}
+		diffHosts(os.Stdout, snap.Host, thisHost(cpu))
 		failed := diff(os.Stdout, filter(snap.Benchmarks, keep), results, *maxRegress)
 		if len(failed) > 0 {
 			log.Fatalf("%d benchmark(s) regressed more than %.0f%% vs %s: %s",
@@ -225,7 +275,7 @@ func main() {
 	}
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(map[string]interface{}{"benchmarks": results}); err != nil {
+	if err := enc.Encode(snapshot{Host: thisHost(cpu), Benchmarks: results}); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 )
@@ -9,15 +11,19 @@ func TestParse(t *testing.T) {
 	input := `goos: linux
 goarch: amd64
 pkg: repro
+cpu: Intel(R) Xeon(R) Processor
 BenchmarkFig6Breakdown-8   	       1	1709234209 ns/op	        56.30 Q3_busy%	 4096 B/op	 1015622 allocs/op
 pkg: repro/internal/machine
 BenchmarkReadHit-8   	195000000	         6.139 ns/op	       0 B/op	       0 allocs/op
 PASS
 ok  	repro/internal/machine	2.1s
 `
-	got, err := parse(strings.NewReader(input))
+	got, cpu, err := parse(strings.NewReader(input))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cpu != "Intel(R) Xeon(R) Processor" {
+		t.Errorf("cpu = %q", cpu)
 	}
 	if len(got) != 2 {
 		t.Fatalf("parsed %d results, want 2", len(got))
@@ -78,5 +84,58 @@ func TestDiffImprovementPasses(t *testing.T) {
 	var buf strings.Builder
 	if failed := diff(&buf, baseline, current, 10); len(failed) != 0 {
 		t.Fatalf("improvement reported as regression: %v", failed)
+	}
+}
+
+// TestHostFingerprint: a snapshot records its host, a snapshot from
+// before fingerprints still loads, and a diff prints both hosts and
+// flags only a recorded difference.
+func TestHostFingerprint(t *testing.T) {
+	h := thisHost("Test CPU")
+	if h.NumCPU < 1 || h.GOMAXPROCS < 1 || !strings.HasPrefix(h.GoVersion, "go") {
+		t.Fatalf("fingerprint = %+v", h)
+	}
+	raw, err := json.Marshal(snapshot{Host: h, Benchmarks: []result{res("BenchmarkA", 1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back snapshot
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back.Host == nil || *back.Host != *h {
+		t.Errorf("round-tripped host = %+v, want %+v", back.Host, h)
+	}
+
+	// The committed snapshots predate fingerprints.
+	old, err := os.ReadFile("../../BENCH_pr10.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var legacy snapshot
+	if err := json.Unmarshal(old, &legacy); err != nil {
+		t.Fatal(err)
+	}
+	if legacy.Host != nil || len(legacy.Benchmarks) == 0 {
+		t.Errorf("legacy snapshot: host %v, %d benchmarks", legacy.Host, len(legacy.Benchmarks))
+	}
+
+	var buf strings.Builder
+	diffHosts(&buf, legacy.Host, h)
+	if out := buf.String(); !strings.Contains(out, "baseline host: not recorded") ||
+		!strings.Contains(out, "Test CPU") || strings.Contains(out, "hosts differ") {
+		t.Errorf("legacy diff header:\n%s", out)
+	}
+	buf.Reset()
+	diffHosts(&buf, h, h)
+	if strings.Contains(buf.String(), "hosts differ") {
+		t.Errorf("same host flagged as different:\n%s", buf.String())
+	}
+	other := *h
+	other.CPU = "Other CPU"
+	buf.Reset()
+	diffHosts(&buf, &other, h)
+	if out := buf.String(); !strings.Contains(out, "Other CPU") || !strings.Contains(out, "hosts differ") {
+		t.Errorf("cross-host diff header:\n%s", out)
 	}
 }

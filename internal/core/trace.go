@@ -177,9 +177,11 @@ func (s *System) queryTrace(query string, rows []int, rec *trace.Recorder) *trac
 	}
 }
 
-// replayBatch is the decode unit: events per decoded batch. A 64KB
-// chunk of typical 2-3-byte ref events decodes to ~2.5 batches.
-const replayBatch = 8192
+// replayBatch is the decode unit: events per decoded batch. At 48 bytes
+// per sched.ReplayEvent, 512 events is 24KB per processor, so every
+// processor's batch stays in the host's L2 between being decoded and
+// being replayed; 8192-event batches (384KB each) fell out of it.
+const replayBatch = 512
 
 // Skeleton-arena reuse counters (package-wide, atomic), surfaced by
 // the experiments layer.

@@ -55,15 +55,15 @@ type execMetrics struct {
 var experimentBuckets = []float64{.05, .1, .25, .5, 1, 2.5, 5, 10, 30, 60, 120, 300, 600}
 
 func newExecMetrics(r *metrics.Registry) execMetrics {
-	// Replay gauges: process-wide counters maintained by
+	// Replay totals: process-wide counters maintained by
 	// internal/core and internal/trace, sampled at gather time.
 	r.GaugeFunc("dssmem_trace_streamed_bytes",
 		"Trace chunk bytes read on demand by streaming replay cursors.",
 		func() float64 { return float64(trace.StreamedBytes()) })
-	r.GaugeFunc("dssmem_replay_arena_hits_total",
+	r.CounterFunc("dssmem_replay_arena_hits_total",
 		"Replay skeleton systems served from the reuse arena.",
 		func() float64 { return float64(core.ReadReplayStats().ArenaHits) })
-	r.GaugeFunc("dssmem_replay_arena_misses_total",
+	r.CounterFunc("dssmem_replay_arena_misses_total",
 		"Replay skeleton systems built fresh (arena miss).",
 		func() float64 { return float64(core.ReadReplayStats().ArenaMisses) })
 	return execMetrics{

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/metrics"
@@ -89,5 +90,22 @@ func TestExecMetrics(t *testing.T) {
 	}
 	if found {
 		t.Error("failed render left a histogram sample")
+	}
+}
+
+// TestReplayTotalsAreCounters: the process-wide replay totals an Exec
+// registers are monotone, so they are exposed with the counter type.
+func TestReplayTotalsAreCounters(t *testing.T) {
+	reg := metrics.New()
+	x := NewExecConfig(runner.Config{Workers: 1, Metrics: reg})
+	defer x.Close()
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"dssmem_replay_arena_hits_total", "dssmem_replay_arena_misses_total"} {
+		if want := "# TYPE " + name + " counter\n"; !strings.Contains(sb.String(), want) {
+			t.Errorf("exposition missing %q", want)
+		}
 	}
 }

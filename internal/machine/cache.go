@@ -49,9 +49,9 @@ type l1Cache struct {
 	seen      *seenTab
 }
 
-func newL1(bytes, line int) *l1Cache {
+func newL1(bytes, line int) l1Cache {
 	sets := uint64(bytes / line)
-	c := &l1Cache{
+	c := l1Cache{
 		lineSize:  uint64(line),
 		lineShift: uint(bits.TrailingZeros64(uint64(line))),
 		sets:      sets,

@@ -22,15 +22,19 @@ type wbEntry struct {
 	cat  simm.Category
 }
 
+// node is one processor's private hierarchy. The primary cache and the
+// prefetch table are held by value, and Machine holds its nodes by
+// value, so the L1 fast path reads one node's fields without chasing a
+// pointer per structure.
 type node struct {
-	l1 *l1Cache
+	l1 l1Cache
 	l2 *l2Cache
 	wb []wbEntry
 	// pfReady records when a prefetched primary line's data actually
 	// arrives; a demand access before that stalls for the remainder.
 	// It is empty unless prefetching is enabled, and the hot path gates
 	// on its length before probing.
-	pfReady *timeTab
+	pfReady timeTab
 	// pfQueue holds outstanding prefetches in issue order, backing
 	// pfReady's expiry: a node is probed only by its own processor,
 	// whose clock never decreases, so once now passes an entry's
@@ -84,7 +88,7 @@ type AccessResult struct {
 type Machine struct {
 	cfg   Config
 	mem   *simm.Memory
-	nodes []*node
+	nodes []node
 	dir   *dirTab
 	// dirFreeAt models directory occupancy at each home node: requests
 	// queue behind one another, which is where hot-spot contention
@@ -111,6 +115,7 @@ func New(cfg Config, mem *simm.Memory) (*Machine, error) {
 		mem:       mem,
 		dir:       newDirTab(),
 		dirFreeAt: make([]int64, cfg.Nodes),
+		nodes:     make([]node, cfg.Nodes),
 	}
 	m.l1FillLat = cfg.L2HitLat + int64(cfg.L1Line-32)/8*cfg.TransferPerWord
 	if m.l1FillLat < 8 {
@@ -120,12 +125,12 @@ func New(cfg Config, mem *simm.Memory) (*Machine, error) {
 	if m.l2Extra < -40 {
 		m.l2Extra = -40
 	}
-	for i := 0; i < cfg.Nodes; i++ {
-		m.nodes = append(m.nodes, &node{
+	for i := range m.nodes {
+		m.nodes[i] = node{
 			l1:      newL1(cfg.L1Bytes, cfg.L1Line),
 			l2:      newL2(cfg.L2Bytes, cfg.L2Line, cfg.L2Ways),
 			pfReady: newTimeTab(),
-		})
+		}
 	}
 	return m, nil
 }
@@ -153,8 +158,8 @@ func NewReusing(cfg Config, mem *simm.Memory, donor *Machine) (*Machine, error) 
 	donor.dir.reset()
 	m.dir = donor.dir
 	if len(m.nodes) == len(donor.nodes) {
-		for i, nd := range m.nodes {
-			d := donor.nodes[i]
+		for i := range m.nodes {
+			nd, d := &m.nodes[i], &donor.nodes[i]
 			d.pfReady.reset()
 			nd.pfReady = d.pfReady
 			if cfg.L1Bytes == donor.cfg.L1Bytes && cfg.L1Line == donor.cfg.L1Line {
@@ -184,10 +189,11 @@ func (m *Machine) ResetStats() { m.st = Stats{} }
 // Flush empties caches, write buffers, and the directory, and forgets
 // miss-classification history, returning the machine to a cold start.
 func (m *Machine) Flush() {
-	for _, n := range m.nodes {
+	for i := range m.nodes {
+		n := &m.nodes[i]
 		n.l1.flush()
 		n.l2.flush()
-		n.wb = nil
+		n.wb = n.wb[:0]
 		n.pfReady.reset()
 		n.pfQueue = n.pfQueue[:0]
 		n.pfHead = 0
@@ -296,7 +302,7 @@ func (m *Machine) fetchLine(n int, line uint64, now int64, exclusive bool) int64
 // insertL2 places the line into node n's secondary cache, handling
 // victim writeback and L1 inclusion.
 func (m *Machine) insertL2(n int, line uint64, st uint8) {
-	nd := m.nodes[n]
+	nd := &m.nodes[n]
 	victim, vstate := nd.l2.fill(line, st)
 	if victim == 0 {
 		return
@@ -311,16 +317,27 @@ func (m *Machine) insertL2(n int, line uint64, st uint8) {
 	nd.l1.invalidateRange(victim, uint64(m.cfg.L2Line), absentReplaced)
 }
 
-// wbPending reports whether node n's write buffer holds an undrained
-// store to the given secondary line (read forwarding), pruning drained
-// entries as a side effect.
-func (m *Machine) wbPending(n int, line uint64, now int64) bool {
-	nd := m.nodes[n]
+// pruneWB drops the stores that have drained by now from the head of
+// the write buffer. Entries are appended in nondecreasing drain order,
+// so the drained ones form a prefix. The live suffix is copied down in
+// place, so the buffer keeps its capacity and WriteCat's append stops
+// reallocating once the buffer reaches its high-water mark.
+func (nd *node) pruneWB(now int64) {
 	i := 0
 	for i < len(nd.wb) && nd.wb[i].done <= now {
 		i++
 	}
-	nd.wb = nd.wb[i:]
+	if i > 0 {
+		nd.wb = nd.wb[:copy(nd.wb, nd.wb[i:])]
+	}
+}
+
+// wbPending reports whether node n's write buffer holds an undrained
+// store to the given secondary line (read forwarding), pruning drained
+// entries as a side effect.
+func (m *Machine) wbPending(n int, line uint64, now int64) bool {
+	nd := &m.nodes[n]
+	nd.pruneWB(now)
 	for _, e := range nd.wb {
 		if e.line == line {
 			return true
@@ -337,26 +354,41 @@ func (m *Machine) Read(n int, a simm.Addr, size int, now int64) AccessResult {
 }
 
 // ReadCat is Read with the category of the reference's first byte
-// precomputed — the engine's traced accessors resolve the page table
-// once for both the data load and the attribution.
+// precomputed. Read resolves it with a page-table walk; the traced
+// accessors get it from the combined load, and the replay driver from
+// its per-processor page-category memo, so neither walks the table.
 func (m *Machine) ReadCat(n int, a simm.Addr, size int, now int64, firstCat simm.Category) AccessResult {
-	nd := m.nodes[n]
+	nd := &m.nodes[n]
 	addr := uint64(a)
 	if nd.pfReady.len() > 0 {
 		nd.expirePrefetches(now)
 	}
 	// Fast path for the overwhelmingly common reference: a single-line
-	// access that hits the primary cache while the write buffer is
-	// drained and no prefetch is outstanding. It touches only the L1
-	// tag array — no page-table walk, no hash probes, no allocation, no
-	// stall.
+	// access that hits the primary cache while no prefetch is
+	// outstanding. It touches only the L1 tag array — no hash probes, no
+	// allocation, no stall. What the write buffer holds does not matter:
+	// in readLines a store forward and an L1 hit both cost no stall and
+	// count only the read. The buffer is still pruned here exactly as
+	// readLines would prune it, because pruning is observable when a
+	// warm-cache segment resets the processor clocks (DESIGN.md §5b).
 	if first := addr &^ (nd.l1.lineSize - 1); addr+uint64(size) <= first+nd.l1.lineSize &&
-		len(nd.wb) == 0 && nd.pfReady.len() == 0 &&
-		nd.l1.lines[nd.l1.setOf(first)] == first {
+		nd.pfReady.len() == 0 && nd.l1.lines[nd.l1.setOf(first)] == first {
+		if len(nd.wb) > 0 && nd.wb[0].done <= now {
+			nd.pruneWB(now)
+		}
 		m.st.Reads++
 		m.st.ReadsByCat[firstCat]++
 		return AccessResult{Cat: firstCat}
 	}
+	return m.readLines(n, a, size, now, firstCat)
+}
+
+// readLines is ReadCat's general path: it walks every primary line the
+// access touches, forwarding from the write buffer, charging late
+// prefetches, and filling misses through the hierarchy.
+func (m *Machine) readLines(n int, a simm.Addr, size int, now int64, firstCat simm.Category) AccessResult {
+	nd := &m.nodes[n]
+	addr := uint64(a)
 	res := AccessResult{Cat: firstCat}
 	end := addr + uint64(size)
 	for line := nd.l1.lineOf(addr); line < end; line += nd.l1.lineSize {
@@ -419,7 +451,7 @@ func (m *Machine) Write(n int, a simm.Addr, size int, now int64) AccessResult {
 // WriteCat is Write with the first byte's category precomputed, the
 // store-side twin of ReadCat.
 func (m *Machine) WriteCat(n int, a simm.Addr, size int, now int64, cat simm.Category) AccessResult {
-	nd := m.nodes[n]
+	nd := &m.nodes[n]
 	res := AccessResult{Cat: cat}
 	m.st.Writes++
 	g := nd.l2.lineOf(uint64(a))
@@ -446,7 +478,7 @@ func (m *Machine) WriteCat(n int, a simm.Addr, size int, now int64, cat simm.Cat
 // exclusiveLatency obtains ownership of the line for node n and returns
 // the latency of doing so.
 func (m *Machine) exclusiveLatency(n int, g uint64, now int64) int64 {
-	nd := m.nodes[n]
+	nd := &m.nodes[n]
 	switch nd.l2.lookup(g) {
 	case stModified:
 		return m.l1FillLat
@@ -487,7 +519,7 @@ func (m *Machine) exclusiveLatency(n int, g uint64, now int64) int64 {
 // Modified line costs only a secondary-cache hit, which is what makes
 // test-and-test-and-set spinlocks viable.
 func (m *Machine) Sync(n int, a simm.Addr, now int64) AccessResult {
-	nd := m.nodes[n]
+	nd := &m.nodes[n]
 	cat := m.mem.CategoryOf(a)
 	m.st.Syncs++
 	g := nd.l2.lineOf(uint64(a))
@@ -515,7 +547,7 @@ func (m *Machine) Sync(n int, a simm.Addr, now int64) AccessResult {
 // occupy home directories (contention) — the two overheads the paper
 // observes.
 func (m *Machine) prefetch(n int, l1line uint64, now int64) {
-	nd := m.nodes[n]
+	nd := &m.nodes[n]
 	for i := 1; i <= m.cfg.PrefetchDegree; i++ {
 		pa := l1line + uint64(i)*nd.l1.lineSize
 		if m.mem.FindRegion(simm.Addr(pa)) == nil {

@@ -141,8 +141,8 @@ type timeTab struct {
 	mask uint64
 }
 
-func newTimeTab() *timeTab {
-	return &timeTab{
+func newTimeTab() timeTab {
+	return timeTab{
 		keys: make([]uint64, tableInitSize),
 		vals: make([]int64, tableInitSize),
 		mask: tableInitSize - 1,

@@ -47,7 +47,7 @@ func (r *Registry) Snapshot() Snapshot {
 		fn := f.fn
 		children := f.sortedChildren()
 		f.mu.Unlock()
-		if f.kind == kindGaugeFunc {
+		if f.kind.isFunc() {
 			var v float64
 			if fn != nil {
 				v = fn()
@@ -106,7 +106,7 @@ func (f *family) writePrometheus(w io.Writer) error {
 	children := f.sortedChildren()
 	f.mu.Unlock()
 
-	if f.kind == kindGaugeFunc {
+	if f.kind.isFunc() {
 		var v float64
 		if fn != nil {
 			v = fn()

@@ -110,6 +110,7 @@ func TestRegistryConflictsPanic(t *testing.T) {
 	r.Counter("test_a_total", "a")
 	for name, fn := range map[string]func(){
 		"kind change":       func() { r.Gauge("test_a_total", "a") },
+		"func kind change":  func() { r.CounterFunc("test_a_total", "a", nil) },
 		"label change":      func() { r.CounterVec("test_a_total", "a", "x") },
 		"bad metric name":   func() { r.Counter("0bad", "") },
 		"bad label name":    func() { r.CounterVec("test_b_total", "", "bad-label") },
@@ -142,6 +143,7 @@ func TestNilRegistry(t *testing.T) {
 	r.GaugeVec("gv", "", "l").With("v").Add(1)
 	r.HistogramVec("hv", "", nil, "l").With("v").Observe(1)
 	r.GaugeFunc("gf", "", func() float64 { return 1 })
+	r.CounterFunc("cf_total", "", func() float64 { return 1 })
 	r.OnGather(func() {})
 	r.CollectGoRuntime()
 	if s := r.Snapshot(); s != nil {
@@ -170,6 +172,30 @@ func TestGaugeFunc(t *testing.T) {
 	r.GaugeFunc("test_fn", "fn", func() float64 { return 42 })
 	if got := findSample(t, r.Snapshot(), "test_fn", nil).Value; got != 42 {
 		t.Errorf("rebound gauge func = %v, want 42", got)
+	}
+}
+
+// TestCounterFunc: a callback counter reads like a gauge callback but
+// is typed as a counter, and re-registration rebinds it.
+func TestCounterFunc(t *testing.T) {
+	r := New()
+	v := 3.0
+	r.CounterFunc("test_fn_total", "fn", func() float64 { return v })
+	v = 5
+	s := r.Snapshot()
+	if got := findSample(t, s, "test_fn_total", nil).Value; got != 5 {
+		t.Errorf("counter func = %v, want 5", got)
+	}
+	if s[0].Type != "counter" {
+		t.Errorf("counter func snapshot type = %q, want counter", s[0].Type)
+	}
+	r.CounterFunc("test_fn_total", "fn", func() float64 { return 9 })
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if want := "# TYPE test_fn_total counter\ntest_fn_total 9\n"; !strings.Contains(sb.String(), want) {
+		t.Errorf("exposition missing %q:\n%s", want, sb.String())
 	}
 }
 

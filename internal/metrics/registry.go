@@ -15,13 +15,14 @@ const (
 	kindGauge
 	kindHistogram
 	kindGaugeFunc
+	kindCounterFunc
 )
 
-// String returns the Prometheus TYPE keyword for the kind (a gauge
-// callback is still a gauge on the wire).
+// String returns the Prometheus TYPE keyword for the kind (a callback
+// is a gauge or a counter on the wire like its instrument twin).
 func (k metricKind) String() string {
 	switch k {
-	case kindCounter:
+	case kindCounter, kindCounterFunc:
 		return "counter"
 	case kindHistogram:
 		return "histogram"
@@ -29,6 +30,10 @@ func (k metricKind) String() string {
 		return "gauge"
 	}
 }
+
+// isFunc reports whether the family's single value comes from a
+// callback registered with GaugeFunc or CounterFunc.
+func (k metricKind) isFunc() bool { return k == kindGaugeFunc || k == kindCounterFunc }
 
 // Registry holds named metric families. Construct one with New and
 // inject it into the subsystems that serve traffic; a nil *Registry is
@@ -60,7 +65,7 @@ type family struct {
 
 	mu       sync.Mutex
 	children map[string]*child
-	fn       func() float64 // kindGaugeFunc only
+	fn       func() float64 // callback kinds only
 }
 
 // child is one (label values -> instrument) binding within a family.
@@ -220,7 +225,19 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 // pool sizes). Re-registering the same name replaces the callback, so a
 // restarted component can rebind its source.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	f := r.family(name, help, kindGaugeFunc, nil, nil)
+	r.funcFamily(name, help, kindGaugeFunc, fn)
+}
+
+// CounterFunc is GaugeFunc for a monotone total maintained elsewhere
+// (process-wide event counts, runtime statistics): fn must never
+// decrease, and the family is exposed with the counter type.
+func (r *Registry) CounterFunc(name, help string, fn func() float64) {
+	r.funcFamily(name, help, kindCounterFunc, fn)
+}
+
+// funcFamily registers (or rebinds) a callback family of the given kind.
+func (r *Registry) funcFamily(name, help string, kind metricKind, fn func() float64) {
+	f := r.family(name, help, kind, nil, nil)
 	if f == nil {
 		return
 	}

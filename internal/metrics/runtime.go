@@ -2,11 +2,11 @@ package metrics
 
 import "runtime"
 
-// CollectGoRuntime registers gauges describing the Go runtime —
-// goroutine count, heap usage, and GC pause totals — refreshed by a
-// gather hook, so the (stop-the-world) runtime.ReadMemStats call only
-// happens when somebody actually scrapes or snapshots the registry.
-// No-op on a nil registry.
+// CollectGoRuntime registers metrics describing the Go runtime —
+// goroutine count and heap usage as gauges, GC cycle and pause totals
+// as counters — refreshed by a gather hook, so the (stop-the-world)
+// runtime.ReadMemStats call only happens when somebody actually scrapes
+// or snapshots the registry. No-op on a nil registry.
 func (r *Registry) CollectGoRuntime() {
 	if r == nil {
 		return
@@ -15,8 +15,11 @@ func (r *Registry) CollectGoRuntime() {
 	heapAlloc := r.Gauge("go_heap_alloc_bytes", "Bytes of allocated heap objects.")
 	heapSys := r.Gauge("go_heap_sys_bytes", "Bytes of heap memory obtained from the OS.")
 	heapObjects := r.Gauge("go_heap_objects", "Number of allocated heap objects.")
-	gcRuns := r.Gauge("go_gc_cycles_total", "Completed GC cycles since process start.")
-	gcPause := r.Gauge("go_gc_pause_seconds_total", "Cumulative stop-the-world GC pause time.")
+	// The hook samples the GC totals into these unregistered gauges;
+	// the counters read them back.
+	var gcRuns, gcPause Gauge
+	r.CounterFunc("go_gc_cycles_total", "Completed GC cycles since process start.", gcRuns.Value)
+	r.CounterFunc("go_gc_pause_seconds_total", "Cumulative stop-the-world GC pause time.", gcPause.Value)
 	gcLastPause := r.Gauge("go_gc_last_pause_seconds", "Duration of the most recent GC pause.")
 	r.OnGather(func() {
 		goroutines.Set(float64(runtime.NumGoroutine()))

@@ -319,3 +319,39 @@ func TestEpochUnevenEOF(t *testing.T) {
 		t.Errorf("long stream clock %d not past short stream clock %d", res.Clocks[0], res.Clocks[1])
 	}
 }
+
+// TestEpochRetagMidStream: a lock-manager op re-tags a page the
+// processors keep touching, the way the buffer manager re-tags a buffer
+// block when it loads a different kind of page. The replay driver's
+// page-category memo must notice, so stalls after the re-tag are
+// charged to the new category exactly as live execution charges them.
+func TestEpochRetagMidStream(t *testing.T) {
+	gen := func(id int, data, lock simm.Addr) []ReplayEvent {
+		page := pageStride(1, data)
+		var evs []ReplayEvent
+		// Every processor warms its memo on the page, then walks
+		// fresh lines of it after processor 0's op re-tags it.
+		for k := 0; k < 32; k++ {
+			evs = append(evs, ReplayEvent{Kind: ReplayRef, Addr: page + simm.Addr(k*32), Size: 8})
+		}
+		if id == 0 {
+			evs = append(evs, ReplayEvent{Kind: ReplayOp, Op: func(p *Proc) {
+				p.Busy(5)
+				p.eng.mem.SetPageCategory(page, simm.PageSize, simm.CatIndex)
+			}})
+		} else {
+			evs = append(evs, ReplayEvent{Kind: ReplayBusy, N: 4000})
+		}
+		for k := 32; k < 128; k++ {
+			evs = append(evs, ReplayEvent{Kind: ReplayRef, Addr: page + simm.Addr(k*32), Size: 8, Write: k%4 == 0})
+		}
+		return evs
+	}
+	res := requireEqual(t, 4, gen)
+	for id, bd := range res.Bds {
+		if bd.Mem[simm.CatData] == 0 || bd.Mem[simm.CatIndex] == 0 {
+			t.Errorf("proc %d: Data stall %d, Index stall %d; want both before and after the re-tag",
+				id, bd.Mem[simm.CatData], bd.Mem[simm.CatIndex])
+		}
+	}
+}

@@ -322,6 +322,15 @@ type Proc struct {
 	spinAddr simm.Addr
 	spinning bool
 	inOp     bool
+
+	// Flat-replay page-category memo: cat is the category of page
+	// catPage as of memory generation catGen. Consecutive references
+	// mostly stay on one page, so flatRef resolves the category without
+	// a page-table walk; a SetPageCategory re-tag changes the generation
+	// and forces a fresh lookup.
+	catPage uint64
+	catGen  uint64
+	cat     simm.Category
 }
 
 // ID returns the processor (node) number.
@@ -510,6 +519,7 @@ func (e *Engine) RunReplay(srcs []ReplaySource) error {
 		p.panicVal = nil
 		p.spinning = false
 		p.inOp = false
+		p.catPage = noPage
 		e.ringInsert(p)
 	}
 	if len(e.ring) == 0 {
@@ -551,22 +561,28 @@ outer:
 			// runs, so re-selecting the head and refreshing the horizon
 			// per event — what the pre-batch driver did by falling back
 			// to the outer loop — is a per-event no-op this loop skips.
+			// The batch cursor is read through locals, which stay in
+			// registers across flatRef calls; bs mirrors them for the
+			// next turn.
 			bs := &batches[p.id]
+			evs, idx := bs.evs, bs.idx
 			for {
-				if bs.idx >= len(bs.evs) {
-					evs, err := srcs[p.id]()
+				if idx >= len(evs) {
+					next, err := srcs[p.id]()
 					if err != nil {
 						return err
 					}
-					if len(evs) == 0 {
+					if len(next) == 0 {
 						copy(e.ring, e.ring[1:])
 						e.ring = e.ring[:len(e.ring)-1]
 						continue outer
 					}
-					bs.evs, bs.idx = evs, 0
+					evs, idx = next, 0
+					bs.evs = evs
 				}
-				ev := &bs.evs[bs.idx]
-				bs.idx++
+				ev := &evs[idx]
+				idx++
+				bs.idx = idx
 				switch ev.Kind {
 				case ReplayRef:
 					p.flatRef(ev.Addr, ev.Size, ev.Write)
@@ -616,19 +632,29 @@ outer:
 	return nil
 }
 
+// noPage is a page number no address maps to: the memo's empty state.
+const noPage = ^uint64(0)
+
 // flatRef re-issues one recorded data reference on the driver's
 // goroutine: the traced accessors' exact busy charge, timing-model
 // access, and stall attribution, minus the yield (the driver re-sorts
-// after every event).
+// after every event). The first byte's category comes from the
+// processor's page-category memo, which is what Read and Write would
+// look up.
 func (p *Proc) flatRef(a simm.Addr, size int, write bool) {
 	if t := p.eng.Tracer; t != nil {
 		t(p.id, a, size, write)
 	}
 	p.preAccess()
+	mem := p.eng.mem
+	if page := uint64(a) >> simm.PageShift; page != p.catPage || mem.CategoryGen() != p.catGen {
+		p.cat = mem.CategoryOf(a)
+		p.catPage, p.catGen = page, mem.CategoryGen()
+	}
 	if write {
-		p.charge(p.eng.mach.Write(p.id, a, size, p.clock))
+		p.charge(p.eng.mach.WriteCat(p.id, a, size, p.clock, p.cat))
 	} else {
-		p.charge(p.eng.mach.Read(p.id, a, size, p.clock))
+		p.charge(p.eng.mach.ReadCat(p.id, a, size, p.clock, p.cat))
 	}
 }
 

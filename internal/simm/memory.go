@@ -120,6 +120,10 @@ type Memory struct {
 	pageRegion []int32
 	pageCat    []Category
 	pageHome   []int16
+
+	// catGen counts SetPageCategory calls, so a cached page category
+	// can tell whether it is still current (see CategoryGen).
+	catGen uint64
 }
 
 // New creates an empty address space for a machine with the given number
@@ -244,12 +248,19 @@ func (m *Memory) CategoryOf(a Addr) Category {
 // [a, a+n). The buffer cache uses this to tag each 8-KB buffer block as
 // Data or Index depending on what page it holds.
 func (m *Memory) SetPageCategory(a Addr, n uint64, cat Category) {
+	m.catGen++
 	for p := a >> PageShift; p <= (a+Addr(n)-1)>>PageShift; p++ {
 		if int(p) < len(m.pageCat) {
 			m.pageCat[p] = cat
 		}
 	}
 }
+
+// CategoryGen returns the page-category generation: it changes on every
+// SetPageCategory call, so a category cached together with the
+// generation it was read at is current exactly while the generation is
+// unchanged.
+func (m *Memory) CategoryGen() uint64 { return m.catGen }
 
 // HomeOf returns the NUMA home node of the page holding a.
 func (m *Memory) HomeOf(a Addr) int {

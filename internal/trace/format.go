@@ -454,39 +454,44 @@ func (c *Cursor) DecodeReplayBatch(evs []sched.ReplayEvent,
 		if ok, err := r.more(); !ok {
 			return n, err
 		}
-		if len(r.cur)-r.off >= maxEvent {
-			if op := r.cur[r.off]; op <= opBusy {
-				b := r.cur
-				i := r.off + 1
-				var u uint64
-				var shift uint
-				for {
-					x := b[i]
-					i++
-					u |= uint64(x&0x7f) << shift
-					if x < 0x80 {
-						break
-					}
-					shift += 7
-					if shift >= 70 {
-						return n, fmt.Errorf("trace: varint overflow")
-					}
+		// Resident refs and busy charges decode in a tight loop over
+		// locals; the cursor is written back once per run of them.
+		b, off, last := r.cur, r.off, r.last
+		for n < len(evs) && len(b)-off >= maxEvent && b[off] <= opBusy {
+			op := b[off]
+			i := off + 1
+			var u uint64
+			var shift uint
+			for {
+				x := b[i]
+				i++
+				u |= uint64(x&0x7f) << shift
+				if x < 0x80 {
+					break
 				}
-				r.off = i
-				ev := &evs[n]
-				n++
-				if op < opBusy {
-					r.last += uint64(unzigzag(u))
-					ev.Kind = sched.ReplayRef
-					ev.Addr = simm.Addr(r.last)
-					ev.Size = int(op&7) + 1
-					ev.Write = op >= opWriteBase
-				} else {
-					ev.Kind = sched.ReplayBusy
-					ev.N = int64(u)
+				shift += 7
+				if shift >= 70 {
+					r.off, r.last = off, last
+					return n, fmt.Errorf("trace: varint overflow")
 				}
-				continue
 			}
+			off = i
+			ev := &evs[n]
+			n++
+			if op < opBusy {
+				last += uint64(unzigzag(u))
+				ev.Kind = sched.ReplayRef
+				ev.Addr = simm.Addr(last)
+				ev.Size = int(op&7) + 1
+				ev.Write = op >= opWriteBase
+			} else {
+				ev.Kind = sched.ReplayBusy
+				ev.N = int64(u)
+			}
+		}
+		r.off, r.last = off, last
+		if n == len(evs) || off >= len(b) {
+			continue
 		}
 		var tmp Event
 		ok, err := c.Next(&tmp)
